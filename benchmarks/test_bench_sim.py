@@ -1,19 +1,18 @@
-"""Simulator throughput: the fast path vs the reference scheduler.
+"""Simulator throughput: the event scheduler vs the reference scheduler.
 
 Message-heavy discrete-event workloads execute one scheduler event per
-delivered message, so events/sec is the simulator's samples/sec analogue.  Two
-workloads are measured, mirroring the two fast-path lanes:
+delivered message, so events/sec is the simulator's samples/sec analogue.  A
+token ring is timed under two delay models — **fixed delay** (every delivery
+time ties with its neighbours, so the ``seq`` tie-break carries the order) and
+**uniform delay** (randomized, interleaved delivery times) — once with
+:class:`repro.sim.EventScheduler` and once with the reference single-heap
+scheduler of ``tests/oracles/scheduler.py``, passed in through
+``Network(scheduler=...)``.
 
-* **fixed delay** — the delay model preserves FIFO order, so deliveries route
-  through the pooled FIFO short-circuit deque instead of the heap; this is
-  the headline ≥1.5x claim;
-* **uniform delay** — randomized delays stay on the heap and benefit only
-  from event pooling; measured for the snapshot record (no ratio assertion —
-  the heap path's win is allocation churn, not asymptotics).
-
-Like PR 7's engine speedup test, the two paths run interleaved with the best
-of three rounds per side, at *equal output*: every round asserts the processed
-event count identical before any throughput is compared.  The recorded
+The two schedulers run interleaved with the best of three rounds per side, at
+*equal output*: every round asserts the processed event and delivery counts
+identical before any throughput is compared, and the production scheduler
+must be at least as fast as the reference on each ring.  The recorded
 ``events_per_sec`` metrics feed the conftest regression guard against
 ``BENCH_seed.json``.
 """
@@ -21,14 +20,16 @@ event count identical before any throughput is compared.  The recorded
 from __future__ import annotations
 
 import gc
+import os
+import sys
 import time
 
-from repro.sim import FixedDelay, Network, Process, UniformDelay
-from repro.sim.events import FASTPATH_ENV
+from repro.sim import EventScheduler, FixedDelay, Network, Process, UniformDelay
 
 from conftest import bench_once
 
-import os
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from oracles.scheduler import OracleScheduler  # noqa: E402
 
 RING_SIZE = 8
 TOKENS_PER_PROCESS = 500
@@ -54,8 +55,8 @@ class TokenRing(Process):
             self.send(self.successor, ttl - 1)
 
 
-def _run_token_ring(delay_model):
-    network = Network(delay_model=delay_model)
+def _run_token_ring(delay_model, scheduler):
+    network = Network(delay_model=delay_model, scheduler=scheduler)
     ring = ["p{}".format(i) for i in range(RING_SIZE)]
     processes = {pid: TokenRing(pid, network, ring) for pid in ring}
     for pid in ring:
@@ -67,17 +68,18 @@ def _run_token_ring(delay_model):
     return network.scheduler.events_processed, network.stats.messages_delivered, seconds
 
 
+SCHEDULERS = (("reference", OracleScheduler), ("production", EventScheduler))
+
+
 def _interleaved_events_per_sec(make_delay):
-    """Best-of-ROUNDS events/sec per path, asserting equal event counts."""
+    """Best-of-ROUNDS events/sec per scheduler, asserting equal event counts."""
     numbers = {}
     gc_was_enabled = gc.isenabled()
     gc.disable()
-    previous = os.environ.get(FASTPATH_ENV)
     try:
         for _ in range(ROUNDS):
-            for label, fastpath in (("reference", "0"), ("fastpath", "1")):
-                os.environ[FASTPATH_ENV] = fastpath
-                events, delivered, seconds = _run_token_ring(make_delay())
+            for label, make_scheduler in SCHEDULERS:
+                events, delivered, seconds = _run_token_ring(make_delay(), make_scheduler())
                 entry = numbers.setdefault(
                     label, {"events": events, "delivered": delivered, "seconds": seconds}
                 )
@@ -85,65 +87,38 @@ def _interleaved_events_per_sec(make_delay):
                 entry["seconds"] = min(entry["seconds"], seconds)
                 gc.collect()
     finally:
-        if previous is None:
-            os.environ.pop(FASTPATH_ENV, None)
-        else:
-            os.environ[FASTPATH_ENV] = previous
         if gc_was_enabled:
             gc.enable()
-    assert numbers["fastpath"]["events"] == numbers["reference"]["events"]
+    assert numbers["production"]["events"] == numbers["reference"]["events"]
+    assert numbers["production"]["delivered"] == numbers["reference"]["delivered"]
     for entry in numbers.values():
         entry["events_per_sec"] = round(entry["events"] / entry.pop("seconds"), 1)
     return numbers
 
 
-def test_sim_fixed_delay_message_heavy_speedup(benchmark, bench_numbers):
-    """FIFO lane + pool vs the reference scheduler: ≥1.5x events/sec."""
-    numbers = bench_once(
-        benchmark, _interleaved_events_per_sec, lambda: FixedDelay(1.0)
-    )
-    speedup = numbers["fastpath"]["events_per_sec"] / numbers["reference"]["events_per_sec"]
-    bench_numbers(
-        reference_events_per_sec=numbers["reference"]["events_per_sec"],
-        fastpath_events_per_sec=numbers["fastpath"]["events_per_sec"],
-        events=numbers["reference"]["events"],
-        speedup=round(speedup, 2),
-    )
+def _record_and_check(label, numbers, bench_numbers):
+    production = numbers["production"]["events_per_sec"]
+    reference = numbers["reference"]["events_per_sec"]
+    bench_numbers(events_per_sec=production, events=numbers["production"]["events"])
     print()
     print(
-        "sim fixed-delay token ring ({} events): reference {:.0f} -> fastpath {:.0f} "
+        "sim {} token ring ({} events): reference {:.0f} -> scheduler {:.0f} "
         "events/sec ({:.2f}x)".format(
-            numbers["reference"]["events"],
-            numbers["reference"]["events_per_sec"],
-            numbers["fastpath"]["events_per_sec"],
-            speedup,
+            label, numbers["production"]["events"], reference, production, production / reference
         )
     )
-    assert speedup >= 1.5, numbers
+    assert production >= reference, numbers
+
+
+def test_sim_fixed_delay_message_heavy_speedup(benchmark, bench_numbers):
+    """Fixed delay (dense time ties): at least the reference's events/sec."""
+    numbers = bench_once(benchmark, _interleaved_events_per_sec, lambda: FixedDelay(1.0))
+    _record_and_check("fixed-delay", numbers, bench_numbers)
 
 
 def test_sim_uniform_delay_message_heavy_throughput(benchmark, bench_numbers):
-    """The heap lane with pooling: equal event counts, throughput recorded."""
+    """Uniform delay (randomized times): at least the reference's events/sec."""
     numbers = bench_once(
         benchmark, _interleaved_events_per_sec, lambda: UniformDelay(0.5, 2.0, seed=3)
     )
-    bench_numbers(
-        reference_events_per_sec=numbers["reference"]["events_per_sec"],
-        fastpath_events_per_sec=numbers["fastpath"]["events_per_sec"],
-        events=numbers["reference"]["events"],
-    )
-    print()
-    print(
-        "sim uniform-delay token ring ({} events): reference {:.0f} -> fastpath {:.0f} "
-        "events/sec".format(
-            numbers["reference"]["events"],
-            numbers["reference"]["events_per_sec"],
-            numbers["fastpath"]["events_per_sec"],
-        )
-    )
-    # Pooling must never make the heap lane slower than the reference path by
-    # more than measurement noise; the hard ratio claim lives on the FIFO lane.
-    assert (
-        numbers["fastpath"]["events_per_sec"]
-        >= 0.8 * numbers["reference"]["events_per_sec"]
-    ), numbers
+    _record_and_check("uniform-delay", numbers, bench_numbers)

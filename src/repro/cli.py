@@ -696,8 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(DISCOVERY_ALGORITHMS),
         default="pruned",
         help="search strategy: 'pruned' (bitmask forward checking, default), "
-        "'full' (alias of pruned), 'quotient' (symmetry-quotiented search) or "
-        "'naive' (the reference backtracker)",
+        "'quotient' (symmetry-quotiented search) or 'naive' (the reference "
+        "backtracker)",
     )
     quorums_discover.add_argument(
         "--progress",

@@ -110,12 +110,7 @@ class ParallelRunner:
         work = list(items)
         if self.jobs == 1 or len(work) <= 1:
             return self._map_serial(task, work)
-        try:
-            return self._map_parallel(task, work)
-        except (OSError, ImportError, PermissionError):
-            # Platforms without usable process/semaphore support (some
-            # sandboxes, AWS Lambda, ...): degrade to the serial path.
-            return self._map_serial(task, work)
+        return self._map_parallel(task, work)
 
     def _map_serial(self, task: Callable[[Any], Any], work: Sequence[Any]) -> List[Any]:
         self.last_mode = "serial"
@@ -128,7 +123,15 @@ class ParallelRunner:
     def _map_parallel(self, task: Callable[[Any], Any], work: Sequence[Any]) -> List[Any]:
         context = self._mp_context or multiprocessing.get_context()
         processes = min(self.jobs, len(work))
-        with context.Pool(processes=processes, initializer=_worker_initializer) as pool:
+        try:
+            pool = context.Pool(processes=processes, initializer=_worker_initializer)
+        except (OSError, ImportError):
+            # Platforms without usable process/semaphore support (some
+            # sandboxes, AWS Lambda, ...): degrade to the serial path.  Only
+            # a pool that fails to start falls back; an exception raised by
+            # a task propagates, so no item ever runs twice.
+            return self._map_serial(task, work)
+        with pool:
             self.last_mode = "parallel"
             results = []
             for done, result in enumerate(pool.imap(task, work), start=1):

@@ -38,9 +38,6 @@ per-pattern candidate lists, and this module solves it at two speeds:
   single candidate by forward checking are propagated as free assignments, so
   ``nodes_explored`` counts only genuine decisions.  On systems without a
   declared symmetry the search degrades to the pruned strategy.
-* ``algorithm="full"``: an alias of the pruned strategy, named from the
-  quotient search's perspective (no symmetry quotienting); useful to compare
-  the two on equal terms in reports and benchmarks.
 * ``algorithm="naive"``: the original reference backtracker, kept as a
   differential-testing oracle and benchmark baseline.  It re-derives residual
   graphs with ordinary set operations and checks compatibility only against
@@ -48,7 +45,7 @@ per-pattern candidate lists, and this module solves it at two speeds:
   tries.
 
 The quotient search returns the *same verdict and the same witness* as the
-pruned/full search: the first solution depth-first search finds is the
+pruned search: the first solution depth-first search finds is the
 lexicographically least one (patterns in search order, candidates in sorted
 order), and at every decision the lexicographically least solution goes
 through the lowest-indexed member of each candidate equivalence class — the
@@ -79,10 +76,9 @@ from .generalized import GeneralizedQuorumSystem, is_f_available, is_f_reachable
 #: :class:`FailProneSystem` (see :meth:`FailProneSystem.analysis_cache`).
 CANDIDATE_CACHE_NAMESPACE = "gqs-candidates"
 
-#: The supported search strategies of :func:`discover_gqs`.  ``"full"`` is an
-#: alias of ``"pruned"`` (the default), named from the quotient search's
-#: perspective.
-DISCOVERY_ALGORITHMS = ("pruned", "full", "quotient", "naive")
+#: The supported search strategies of :func:`discover_gqs` (``"pruned"`` is
+#: the default).
+DISCOVERY_ALGORITHMS = ("pruned", "quotient", "naive")
 
 
 @dataclass(frozen=True)
@@ -658,7 +654,7 @@ def discover_gqs(
             empty = empty or not cands
         context = _QuotientContext(fail_prone, patterns, quotiented)
         chosen = None if empty else _quotient_search(quotiented, context, result)
-    else:  # "pruned" and its alias "full"
+    else:  # "pruned"
         masked: List[Tuple[_MaskedCandidate, ...]] = []
         for done, f in enumerate(patterns):
             cands = _masked_candidates(fail_prone, f)

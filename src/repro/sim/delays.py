@@ -26,16 +26,6 @@ from ..types import Channel
 class DelayModel:
     """Base class: maps a send event to a delivery latency."""
 
-    #: Whether delivery times are non-decreasing in send order *within one
-    #: run*: for any two sends at times ``t1 <= t2`` the model promises
-    #: ``t1 + delay1 <= t2 + delay2``.  Models that preserve FIFO order let
-    #: the simulator route deliveries through a short-circuit deque instead of
-    #: the heap (see :meth:`repro.sim.EventScheduler.schedule_fifo`).  The
-    #: default is ``False``, which is always correct — randomized or
-    #: per-channel models must keep it.  Only opt in for models whose latency
-    #: is a single run-wide constant (or otherwise provably monotone).
-    preserves_fifo = False
-
     def delay(self, channel: Channel, send_time: float) -> float:
         """Return the latency (in simulated time units) for a message.
 
@@ -54,10 +44,6 @@ class DelayModel:
 
 class FixedDelay(DelayModel):
     """Every message is delivered exactly ``latency`` time units after sending."""
-
-    # One run-wide constant latency: send times are non-decreasing, so
-    # delivery times are too — the FIFO short-circuit lane applies.
-    preserves_fifo = True
 
     def __init__(self, latency: float = 1.0) -> None:
         if latency < 0:

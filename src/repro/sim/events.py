@@ -1,123 +1,55 @@
 """Discrete-event scheduler underpinning the network simulator.
 
-The scheduler maintains a priority queue of timed callbacks.  Ties are broken
-by insertion order, which makes runs fully deterministic for a fixed random
-seed of the delay model.  Simulated time is a float in arbitrary "time units";
-the protocols and experiments only rely on relative ordering and on the partial
+The scheduler is one binary heap of ``(time, seq, callback, handle)`` tuples.
+``seq`` is the scheduler's insertion counter, so ties in simulated time fire in
+scheduling order and a run is fully deterministic for a fixed random seed of
+the delay model.  Tuples compare on ``(time, seq)`` alone — ``seq`` is unique,
+so the callback and handle are never compared.
+
+Every ``schedule`` call returns an :class:`Event` handle whose only job is
+cancellation: a cancelled entry stays in the heap and is discarded when it
+reaches the head.  Simulated time is a float in arbitrary "time units"; the
+protocols and experiments only rely on relative ordering and on the partial
 synchrony bound ``δ``, never on wall-clock meaning.
-
-Fast path
----------
-Message-heavy simulations execute one event per delivered message, so the
-per-event constant factor of the scheduler dominates whole protocol workloads.
-Three optimisations (enabled by default, disabled by ``REPRO_SIM_FASTPATH=0``
-or ``EventScheduler(fastpath=False)``) cut that constant without changing any
-observable behaviour:
-
-* **event pool** — delivery events scheduled through
-  :meth:`EventScheduler.schedule_pooled` / :meth:`~EventScheduler.schedule_fifo`
-  are recycled through a free list instead of allocated per message.  Pooled
-  events are never handed out to callers, so no stale reference can observe
-  (or corrupt) a recycled slot;
-* **FIFO short-circuit lane** — when the delay model in force preserves
-  per-run FIFO order (see :attr:`repro.sim.DelayModel.preserves_fifo`),
-  deliveries bypass the heap entirely and flow through a deque whose entries
-  are kept sorted by construction; the execution loop merges the lane with the
-  heap by the exact ``(time, seq)`` tie-break of the reference path, so event
-  order is bit-for-bit identical;
-* **lazy-deletion heap compaction** — cancelled events are counted
-  (:meth:`EventScheduler.pending` is O(1) instead of an O(queue) rescan) and
-  the heap is rebuilt without them once they exceed half of it, so a crash
-  that cancels long timers does not leave their corpses occupying the heap
-  until their scheduled time.
-
-The reference path (``fastpath=False``) allocates a fresh :class:`Event` per
-schedule and keeps every cancelled event in the heap until it is popped —
-exactly the original scheduler.  The differential battery
-(``tests/test_sim_fastpath_differential.py``) pins histories, network
-statistics, ``events_processed`` and recorded trace bytes equal between the
-two paths across the scenario catalogue.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
-from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 
 EventCallback = Callable[[], None]
 
-#: Environment switch for the scheduler fast path (pool + FIFO lane +
-#: compaction).  Any of ``0``/``false``/``off`` selects the reference path.
-FASTPATH_ENV = "REPRO_SIM_FASTPATH"
-
-
-def fastpath_default() -> bool:
-    """Whether new schedulers use the fast path (reads :data:`FASTPATH_ENV`)."""
-    return os.environ.get(FASTPATH_ENV, "1").strip().lower() not in ("0", "false", "off")
-
 
 class Event:
-    """A scheduled callback.  ``cancel()`` prevents it from firing."""
+    """Handle to a scheduled callback.  ``cancel()`` prevents it from firing."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "pooled", "_scheduler")
+    __slots__ = ("time", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Optional[EventCallback],
-        scheduler: Optional["EventScheduler"] = None,
-        pooled: bool = False,
-    ) -> None:
+    def __init__(self, time: float) -> None:
         self.time = time
-        self.seq = seq
-        self.callback = callback
         self.cancelled = False
-        self.pooled = pooled
-        self._scheduler = scheduler
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
-        if self.cancelled or self.callback is None:
-            return
         self.cancelled = True
-        if self._scheduler is not None:
-            self._scheduler._note_cancel(self)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "Event(t={:.3f}, seq={}, cancelled={})".format(self.time, self.seq, self.cancelled)
+        return "Event(t={:.3f}, cancelled={})".format(self.time, self.cancelled)
 
 
 class EventScheduler:
-    """A deterministic discrete-event scheduler.
+    """A deterministic discrete-event scheduler."""
 
-    ``fastpath`` selects the pooled/FIFO-lane implementation (the default,
-    overridable via the ``REPRO_SIM_FASTPATH`` environment variable); both
-    paths produce identical event orders, times and counters.
-    """
-
-    def __init__(self, fastpath: Optional[bool] = None) -> None:
-        self._queue: List[Event] = []
-        self._fifo: Deque[Event] = deque()
-        self._free: List[Event] = []
+    def __init__(self) -> None:
+        self._queue: List[Tuple[float, int, EventCallback, Event]] = []
         self._now = 0.0
         self._counter = itertools.count()
         self._events_processed = 0
-        self._live = 0
-        self._heap_cancelled = 0
-        self.fastpath = fastpath_default() if fastpath is None else bool(fastpath)
 
-    # ------------------------------------------------------------------ #
-    # Scheduling
-    # ------------------------------------------------------------------ #
     @property
     def now(self) -> float:
         """Current simulated time."""
@@ -136,9 +68,8 @@ class EventScheduler:
                     self._now, time
                 )
             )
-        event = Event(time, next(self._counter), callback, self)
-        heapq.heappush(self._queue, event)
-        self._live += 1
+        event = Event(time)
+        heapq.heappush(self._queue, (time, next(self._counter), callback, event))
         return event
 
     def schedule(self, delay: float, callback: EventCallback) -> Event:
@@ -147,130 +78,15 @@ class EventScheduler:
             raise SimulationError("delay must be non-negative, got {}".format(delay))
         return self.schedule_at(self._now + delay, callback)
 
-    def schedule_pooled(self, delay: float, callback: EventCallback) -> None:
-        """Schedule an *internal* delivery event through the recycling pool.
-
-        The event is never exposed, so callers cannot retain or cancel it —
-        which is exactly what makes recycling safe.  On the reference path
-        this degrades to a plain :meth:`schedule`.
-        """
-        if not self.fastpath:
-            self.schedule(delay, callback)
-            return
-        time = self._now + delay
-        if time < self._now:
-            raise SimulationError("delay must be non-negative, got {}".format(delay))
-        heapq.heappush(self._queue, self._acquire(time, callback))
-        self._live += 1
-
-    def schedule_fifo(self, delay: float, callback: EventCallback) -> None:
-        """Schedule a delivery through the FIFO short-circuit lane.
-
-        Valid whenever delivery times arrive in non-decreasing order (the
-        :attr:`~repro.sim.DelayModel.preserves_fifo` contract); an
-        out-of-order time falls back to the pooled heap path, so the lane is
-        correct even against a misdeclared delay model.  Events are pooled and
-        never exposed, as in :meth:`schedule_pooled`.
-        """
-        if not self.fastpath:
-            self.schedule(delay, callback)
-            return
-        time = self._now + delay
-        if time < self._now:
-            raise SimulationError("delay must be non-negative, got {}".format(delay))
-        fifo = self._fifo
-        if fifo and time < fifo[-1].time:
-            heapq.heappush(self._queue, self._acquire(time, callback))
-        else:
-            fifo.append(self._acquire(time, callback))
-        self._live += 1
-
     def pending(self) -> int:
-        """Number of not-yet-fired, not-cancelled events (O(1))."""
-        return self._live
+        """Number of not-yet-fired, not-cancelled events."""
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
-    def pool_size(self) -> int:
-        """Number of recycled events currently in the free list."""
-        return len(self._free)
-
-    # ------------------------------------------------------------------ #
-    # Pool and lazy-deletion internals
-    # ------------------------------------------------------------------ #
-    def _acquire(self, time: float, callback: EventCallback) -> Event:
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = next(self._counter)
-            event.callback = callback
-            return event
-        return Event(time, next(self._counter), callback, self, pooled=True)
-
-    def _note_cancel(self, event: Event) -> None:
-        """Bookkeeping for :meth:`Event.cancel`: keep the live count exact and
-        compact the heap once cancelled corpses outnumber live entries."""
-        self._live -= 1
-        self._heap_cancelled += 1
-        if self.fastpath and self._heap_cancelled * 2 > len(self._queue):
-            self._compact()
-
-    def _compact(self) -> None:
-        survivors = []
-        for event in self._queue:
-            if event.cancelled:
-                event.callback = None
-            else:
-                survivors.append(event)
-        heapq.heapify(survivors)
-        self._queue = survivors
-        self._heap_cancelled = 0
-
-    def _peek(self) -> Optional[Event]:
-        """The next live event across both lanes, or ``None``.  Discards
-        cancelled heap heads as a side effect (they never fire anyway)."""
-        queue = self._queue
-        while queue and queue[0].cancelled:
-            stale = heapq.heappop(queue)
-            stale.callback = None
-            self._heap_cancelled -= 1
-        fifo = self._fifo
-        if fifo:
-            head = fifo[0]
-            if not queue or (head.time, head.seq) < (queue[0].time, queue[0].seq):
-                return head
-            return queue[0]
-        return queue[0] if queue else None
-
-    def _pop(self, event: Event) -> None:
-        if self._fifo and self._fifo[0] is event:
-            self._fifo.popleft()
-        else:
-            heapq.heappop(self._queue)
-
-    def _fire(self, event: Event) -> None:
-        self._now = event.time
-        self._events_processed += 1
-        self._live -= 1
-        callback = event.callback
-        event.callback = None
-        if event.pooled:
-            # Release before running the callback: the callback only ever sees
-            # the pool through schedule_pooled/schedule_fifo, which reset every
-            # field on acquisition.
-            self._free.append(event)
-        callback()
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
-        event = self._peek()
-        if event is None:
-            return False
-        self._pop(event)
-        self._fire(event)
-        return True
+        executed = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed > executed
 
     def run(
         self,
@@ -284,21 +100,24 @@ class EventScheduler:
         ``max_time``, when ``max_events`` events have been executed by this
         call, or when ``stop_when()`` becomes true (checked after every event).
         """
+        queue = self._queue
+        pop = heapq.heappop
         executed = 0
         if stop_when is not None and stop_when():
             return
-        while True:
-            if max_events is not None and executed >= max_events:
-                return
-            event = self._peek()
-            if event is None:
-                return
-            if max_time is not None and event.time > max_time:
+        while queue and (max_events is None or executed < max_events):
+            time, _, callback, event = queue[0]
+            if event.cancelled:
+                pop(queue)
+                continue
+            if max_time is not None and time > max_time:
                 self._now = max_time
                 return
-            self._pop(event)
-            self._fire(event)
+            pop(queue)
+            self._now = time
+            self._events_processed += 1
             executed += 1
+            callback()
             if stop_when is not None and stop_when():
                 return
 

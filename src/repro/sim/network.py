@@ -214,18 +214,7 @@ class Network:
             self.stats.messages_dropped_channel += 1
             return
         latency = self.delay_model.delay((sender, receiver), self.scheduler.now)
-        # Deliveries are internal events: nothing ever cancels one (crashes are
-        # re-checked at delivery time), so they qualify for the scheduler's
-        # recycling pool — and for the FIFO short-circuit lane whenever the
-        # delay model in force preserves per-run FIFO order.
-        if getattr(self.delay_model, "preserves_fifo", False):
-            self.scheduler.schedule_fifo(
-                latency, lambda: self._deliver(sender, receiver, message)
-            )
-        else:
-            self.scheduler.schedule_pooled(
-                latency, lambda: self._deliver(sender, receiver, message)
-            )
+        self.scheduler.schedule(latency, lambda: self._deliver(sender, receiver, message))
 
     def broadcast(self, sender: ProcessId, message: Any, include_self: bool = True) -> None:
         """Send ``message`` from ``sender`` to every process (optionally itself)."""

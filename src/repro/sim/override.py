@@ -107,11 +107,6 @@ class ScheduleOverride(DelayModel):
     exactly.
     """
 
-    #: Stretches and nudges reorder deliveries on purpose, so the override
-    #: never qualifies for the FIFO short-circuit lane — even when the base
-    #: model would (a stretched FixedDelay is no longer monotone).
-    preserves_fifo = False
-
     def __init__(
         self,
         base: DelayModel,

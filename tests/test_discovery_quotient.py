@@ -26,7 +26,7 @@ from repro.failures import (
     random_fail_prone_system,
     ring_unidirectional_system,
 )
-from repro.quorums import candidate_pairs, discover_gqs
+from repro.quorums import DISCOVERY_ALGORITHMS, candidate_pairs, discover_gqs
 from repro.types import sorted_processes
 
 #: The registered builders that declare a non-trivial symmetry, with sizes
@@ -94,7 +94,7 @@ def _battery_systems():
 
 def _assert_quotient_matches_full(build_system):
     """Fresh instance per algorithm, so neither feeds off the other's caches."""
-    full = discover_gqs(build_system(), validate=False, algorithm="full")
+    full = discover_gqs(build_system(), validate=False, algorithm="pruned")
     quotient = discover_gqs(build_system(), validate=False, algorithm="quotient")
     assert quotient.algorithm == "quotient"
     assert quotient.exists == full.exists
@@ -146,7 +146,7 @@ def test_quotient_never_explores_more_nodes_than_full_on_plain_random_systems():
         system = random_fail_prone_system(
             n=5, num_patterns=4, crash_prob=0.2, disconnect_prob=0.35, seed=4000 + seed
         )
-        full = discover_gqs(system, validate=False, algorithm="full")
+        full = discover_gqs(system, validate=False, algorithm="pruned")
         fresh = random_fail_prone_system(
             n=5, num_patterns=4, crash_prob=0.2, disconnect_prob=0.35, seed=4000 + seed
         )
@@ -209,12 +209,10 @@ def test_unknown_algorithm_is_rejected():
         discover_gqs(figure1_fail_prone_system(), algorithm="magic")
 
 
-def test_full_alias_reports_itself():
-    result = discover_gqs(figure1_fail_prone_system(), validate=False, algorithm="full")
-    assert result.algorithm == "full"
+def test_full_alias_is_rejected():
+    """``"full"`` was a second name for ``"pruned"``; only one name remains."""
+    assert "full" not in DISCOVERY_ALGORITHMS
+    with pytest.raises(ValueError):
+        discover_gqs(figure1_fail_prone_system(), algorithm="full")
     pruned = discover_gqs(figure1_fail_prone_system(), validate=False)
     assert pruned.algorithm == "pruned"
-    assert result.nodes_explored == pruned.nodes_explored
-    assert {f: (c.read_quorum, c.write_quorum) for f, c in result.choices.items()} == {
-        f: (c.read_quorum, c.write_quorum) for f, c in pruned.choices.items()
-    }

@@ -134,6 +134,30 @@ def test_map_parallel_preserves_order():
     assert runner.last_mode in ("parallel", "serial")  # serial on fork-less platforms
 
 
+def _logged_task(args):
+    """Append the item to a shared log, then fail with PermissionError on item 1."""
+    log_path, item = args
+    with open(log_path, "a", encoding="utf-8") as handle:
+        handle.write("{}\n".format(item))
+    if item == 1:
+        raise PermissionError("task {} denied".format(item))
+    return item
+
+
+def test_task_error_propagates_without_serial_rerun(tmp_path):
+    """A task raising an OSError subclass is a task failure, not a platform
+    without multiprocessing: it propagates and nothing re-runs serially."""
+    log_path = str(tmp_path / "calls.log")
+    runner = ParallelRunner(jobs=2)
+    with pytest.raises(PermissionError, match="task 1 denied"):
+        runner.map(_logged_task, [(log_path, item) for item in range(4)])
+    with open(log_path, encoding="utf-8") as handle:
+        calls = [int(line) for line in handle]
+    assert 1 in calls
+    assert sorted(calls) == sorted(set(calls)), calls
+    assert runner.last_mode == "parallel"
+
+
 def test_progress_reports_every_shard():
     seen = []
     runner = ParallelRunner(jobs=1, progress=lambda done, total: seen.append((done, total)))

@@ -107,7 +107,7 @@ def test_events_processed_counter():
 
 
 # --------------------------------------------------------------------------- #
-# Fast path: event pool, FIFO short-circuit lane, lazy-deletion compaction
+# Live count: cancelled and fired events are not pending
 # --------------------------------------------------------------------------- #
 def test_pending_is_live_count_with_cancellations():
     scheduler = EventScheduler()
@@ -116,7 +116,7 @@ def test_pending_is_live_count_with_cancellations():
     events[0].cancel()
     events[3].cancel()
     assert scheduler.pending() == 4
-    # Cancelling twice (or after compaction dropped the event) changes nothing.
+    # Cancelling twice changes nothing.
     events[0].cancel()
     assert scheduler.pending() == 4
     scheduler.run()
@@ -133,112 +133,31 @@ def test_cancel_after_fire_is_a_noop_for_the_live_count():
     assert scheduler.pending() == 0
 
 
-def test_compaction_drops_cancelled_events_from_the_heap():
-    scheduler = EventScheduler(fastpath=True)
-    keep = [scheduler.schedule(100.0 + i, lambda: None) for i in range(3)]
-    doomed = [scheduler.schedule(1_000_000.0 + i, lambda: None) for i in range(20)]
-    for event in doomed:
-        event.cancel()
-    # The cancelled majority was compacted away instead of occupying the heap
-    # until simulated time one million; the lazy-deletion invariant keeps
-    # cancelled corpses at no more than half the heap.
-    assert len(scheduler._queue) <= 2 * len(keep)
-    assert scheduler.pending() == 3
+# --------------------------------------------------------------------------- #
+# One heap: arrival-order and out-of-order deliveries, repeated rounds
+# --------------------------------------------------------------------------- #
+def test_fifo_lane_merges_with_heap_in_time_seq_order():
+    scheduler = EventScheduler()
+    order = []
+    scheduler.schedule(2.0, lambda: order.append("a@2"))
+    scheduler.schedule(1.0, lambda: order.append("b@1"))
+    scheduler.schedule(2.0, lambda: order.append("c@2"))
+    scheduler.schedule(1.0, lambda: order.append("d@1"))
     scheduler.run()
-    assert scheduler.events_processed == 3
-
-
-def test_pooled_events_are_recycled():
-    scheduler = EventScheduler(fastpath=True)
-    fired = []
-    scheduler.schedule_pooled(1.0, lambda: fired.append("pooled"))
-    scheduler.schedule_fifo(2.0, lambda: fired.append("fifo"))
-    assert scheduler.pending() == 2
-    scheduler.run()
-    assert fired == ["pooled", "fifo"]
-    assert scheduler.pool_size() == 2
-    # The freed events are reused, not reallocated.
-    recycled = set(map(id, scheduler._free))
-    scheduler.schedule_fifo(1.0, lambda: fired.append("again"))
-    assert id(scheduler._fifo[0]) in recycled
-    scheduler.run()
-    assert fired == ["pooled", "fifo", "again"]
+    # Ties at t=1 and t=2 break by scheduling order (seq).
+    assert order == ["b@1", "d@1", "a@2", "c@2"]
 
 
 def test_pool_reuse_does_not_leak_stale_callbacks_or_cancelled_state():
-    scheduler = EventScheduler(fastpath=True)
+    scheduler = EventScheduler()
     fired = []
     for round_index in range(50):
         for i in range(4):
-            scheduler.schedule_fifo(1.0, lambda r=round_index, i=i: fired.append((r, i)))
+            scheduler.schedule(1.0, lambda r=round_index, i=i: fired.append((r, i)))
+        # A cancelled event in one round must not suppress or replay anything
+        # in a later round.
+        scheduler.schedule(1.0, lambda r=round_index: fired.append((r, "cancelled"))).cancel()
         scheduler.run()
+        assert scheduler.pending() == 0
     assert fired == [(r, i) for r in range(50) for i in range(4)]
-    # The pool never grew beyond the maximum number of simultaneously
-    # scheduled deliveries.
-    assert scheduler.pool_size() <= 4
-
-
-def test_fifo_lane_merges_with_heap_in_time_seq_order():
-    scheduler = EventScheduler(fastpath=True)
-    order = []
-    scheduler.schedule(2.0, lambda: order.append("heap@2"))
-    scheduler.schedule_fifo(1.0, lambda: order.append("fifo@1"))
-    scheduler.schedule_fifo(2.0, lambda: order.append("fifo@2"))
-    scheduler.schedule(1.0, lambda: order.append("heap@1"))
-    scheduler.run()
-    # Ties at t=1 and t=2 break by scheduling order (seq), exactly like the
-    # reference single-heap path would order them.
-    assert order == ["fifo@1", "heap@1", "heap@2", "fifo@2"]
-
-
-def test_fifo_lane_falls_back_to_heap_on_out_of_order_times():
-    scheduler = EventScheduler(fastpath=True)
-    order = []
-    scheduler.schedule_fifo(5.0, lambda: order.append("late"))
-    # A misdeclared delay model handing out a shorter delivery after a longer
-    # one must still fire in time order.
-    scheduler.schedule_fifo(1.0, lambda: order.append("early"))
-    scheduler.run()
-    assert order == ["early", "late"]
-
-
-def test_fifo_and_pooled_reject_negative_delays():
-    scheduler = EventScheduler(fastpath=True)
-    with pytest.raises(SimulationError):
-        scheduler.schedule_pooled(-1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        scheduler.schedule_fifo(-1.0, lambda: None)
-
-
-def test_reference_path_routes_everything_through_the_heap():
-    scheduler = EventScheduler(fastpath=False)
-    fired = []
-    scheduler.schedule_fifo(1.0, lambda: fired.append("a"))
-    scheduler.schedule_pooled(2.0, lambda: fired.append("b"))
-    assert not scheduler._fifo
-    assert scheduler.pool_size() == 0
-    scheduler.run()
-    assert fired == ["a", "b"]
-    assert scheduler.pool_size() == 0
-
-
-def test_fastpath_env_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-    assert EventScheduler().fastpath is False
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "1")
-    assert EventScheduler().fastpath is True
-    monkeypatch.delenv("REPRO_SIM_FASTPATH")
-    assert EventScheduler().fastpath is True
-
-
-def test_run_max_time_considers_the_fifo_lane():
-    scheduler = EventScheduler(fastpath=True)
-    seen = []
-    scheduler.schedule_fifo(1.0, lambda: seen.append(1))
-    scheduler.schedule_fifo(10.0, lambda: seen.append(2))
-    scheduler.run(max_time=5.0)
-    assert seen == [1]
-    assert scheduler.now == pytest.approx(5.0)
-    assert scheduler.pending() == 1
-    scheduler.run()
-    assert seen == [1, 2]
+    assert scheduler.events_processed == 50 * 4

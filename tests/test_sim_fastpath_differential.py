@@ -1,222 +1,160 @@
-"""Differential battery: the simulator fast path vs the reference scheduler.
+"""Differential tests: the production scheduler against the reference heap.
 
-The fast path (:mod:`repro.sim.events`: pooled delivery events, the FIFO
-short-circuit lane for :attr:`~repro.sim.DelayModel.preserves_fifo` models,
-lazy-deletion heap compaction) is a faster implementation of the same
-simulator, never a different simulator.  These tests pin the strongest form of
-that claim, mirroring PR 7's Monte Carlo battery: every catalogue scenario is
-recorded under both paths and the trace directories are compared **byte for
-byte** (jobs 1 and 2 included), per-workload histories / ``NetworkStats`` /
-``events_processed`` are asserted equal, and property tests cover pool
-recycling (no stale callback or cancelled state survives reuse) and the FIFO
-lane's ``(time, seq)`` tie-break equivalence against a reference scheduler fed
-the same schedule.
+:class:`repro.sim.EventScheduler` (one heap of tuples) is compared with the
+reference scheduler in :mod:`oracles.scheduler` (a single heap of ``Event``
+objects) on the same schedules: exact time ties, cancellations,
+``max_time`` / ``max_events`` / ``stop_when`` limits, ``step`` and callbacks
+that schedule (and cancel) further events.  Both must fire the same callbacks
+in the same order and agree on ``now``, ``events_processed`` and
+``pending()``.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
 
 import pytest
 
-from repro.experiments import run_workload
-from repro.scenarios.registry import all_scenarios
-from repro.scenarios.runner import run_scenario, sweep_scenarios
-from repro.sim import EventScheduler, FixedDelay
-from repro.sim.events import FASTPATH_ENV
+from oracles.scheduler import OracleScheduler
+from repro.sim import EventScheduler
 
 
-@contextmanager
-def sim_mode(fastpath):
-    """Force every scheduler built inside the block onto one path."""
-    previous = os.environ.get(FASTPATH_ENV)
-    os.environ[FASTPATH_ENV] = "1" if fastpath else "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[FASTPATH_ENV]
-        else:
-            os.environ[FASTPATH_ENV] = previous
+def _random_plan(rng):
+    """(delay, cancel) entries with dense time ties and some cancellations."""
+    return [
+        (rng.choice([0.0, 0.5, 1.0, 1.0, 2.5]), rng.random() < 0.3)
+        for _ in range(rng.randint(5, 40))
+    ]
 
 
-def _workload_fingerprint(kind, quorum_system, seed, delay_model=None):
-    result = run_workload(kind, quorum_system, seed=seed, delay_model=delay_model)
-    cluster = result.cluster
-    return {
-        "records": result.history.records,
-        "completed": result.completed,
-        "stats": vars(cluster.network.stats),
-        "events_processed": cluster.network.scheduler.events_processed,
-        "pending": cluster.network.scheduler.pending(),
-        "now": cluster.now,
-    }
+def _execute(scheduler, plan, **limits):
+    """Schedule ``plan``, cancel the flagged events, then run with ``limits``.
+
+    A third of the callbacks schedule a follow-up event (and some of those
+    cancel a still-pending sibling), so the queue keeps changing while the
+    run is hot.
+    """
+    fired = []
+    handles = []
+
+    def spawn(tag, depth):
+        def callback():
+            fired.append((tag, scheduler.now))
+            if depth < 2 and tag % 3 == 0:
+                handles.append(scheduler.schedule(1.0, spawn(tag + 1000, depth + 1)))
+                if tag % 2 == 0 and handles:
+                    handles[len(handles) // 2].cancel()
+
+        return callback
+
+    cancelled = []
+    for index, (delay, cancel) in enumerate(plan):
+        event = scheduler.schedule(delay, spawn(index, 0))
+        handles.append(event)
+        if cancel:
+            cancelled.append(event)
+    for event in cancelled:
+        event.cancel()
+    scheduler.run(**limits)
+    return fired, scheduler.events_processed, scheduler.now, scheduler.pending()
 
 
-# --------------------------------------------------------------------- #
-# Per-workload equality: histories, NetworkStats, events_processed
-# --------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", ["register", "snapshot", "lattice", "consensus", "paxos"])
-def test_workload_histories_stats_and_event_counts_equal(kind, figure1_gqs):
-    for seed in (0, 3):
-        with sim_mode(False):
-            reference = _workload_fingerprint(kind, figure1_gqs, seed)
-        with sim_mode(True):
-            fast = _workload_fingerprint(kind, figure1_gqs, seed)
-        assert fast == reference, (kind, seed)
-
-
-def test_fixed_delay_workload_exercises_the_fifo_lane_and_stays_equal(figure1_gqs):
-    """FixedDelay is the model that actually routes through the FIFO lane."""
-    with sim_mode(False):
-        reference = _workload_fingerprint(
-            "register", figure1_gqs, seed=1, delay_model=FixedDelay(1.0)
-        )
-    with sim_mode(True):
-        fast = _workload_fingerprint(
-            "register", figure1_gqs, seed=1, delay_model=FixedDelay(1.0)
-        )
-    assert fast == reference
-
-
-# --------------------------------------------------------------------- #
-# Scenario catalogue: recorded trace directories byte-identical
-# --------------------------------------------------------------------- #
-def _read_directory(directory):
-    return {
-        name: open(os.path.join(directory, name), "rb").read()
-        for name in sorted(os.listdir(directory))
-    }
-
-
-def test_catalogue_traces_byte_identical_across_paths_and_jobs(tmp_path):
-    """Every catalogue scenario, fast vs reference, jobs 1 and 2."""
-    recordings = {}
-    for label, fastpath, jobs in (
-        ("ref-jobs1", False, 1),
-        ("fast-jobs1", True, 1),
-        ("fast-jobs2", True, 2),
-    ):
-        directory = str(tmp_path / label)
-        with sim_mode(fastpath):
-            results = sweep_scenarios(runs=2, seed=7, jobs=jobs, record_traces=directory)
-        recordings[label] = (
-            _read_directory(directory),
-            [result.to_json() for result in results],
-        )
-    names = {scenario.name for scenario in all_scenarios()}
-    reference_files, reference_tables = recordings["ref-jobs1"]
-    # One trace per (scenario, run) — the whole catalogue is really covered.
-    assert len(reference_files) == 2 * len(names)
-    for label in ("fast-jobs1", "fast-jobs2"):
-        files, tables = recordings[label]
-        assert files == reference_files, label
-        assert tables == reference_tables, label
-
-
-def test_single_scenario_rows_equal_with_reference_jobs2(tmp_path):
-    """The reference path is itself jobs-independent; pin one scenario at jobs 2."""
-    with sim_mode(False):
-        serial = run_scenario("heavy-contention-register", runs=3, seed=11, jobs=1)
-        parallel = run_scenario("heavy-contention-register", runs=3, seed=11, jobs=2)
-    with sim_mode(True):
-        fast = run_scenario("heavy-contention-register", runs=3, seed=11, jobs=2)
-    assert serial.rows == parallel.rows == fast.rows
-
-
-# --------------------------------------------------------------------- #
-# Property: pool recycling leaks no stale state through reuse
-# --------------------------------------------------------------------- #
 def test_pool_recycling_is_invisible_under_random_schedules():
-    """Random mixes of pooled/FIFO/plain events with cancellations: the fast
-    scheduler fires exactly what the reference scheduler fires, in the same
-    order, and recycled slots never resurrect an old callback."""
+    """Random schedules with cancellations and nested scheduling fire exactly
+    what the reference heap fires, in the same order; no fired or cancelled
+    event ever fires again."""
+    for case in range(40):
+        plan = _random_plan(random.Random(case))
+        assert _execute(EventScheduler(), plan) == _execute(OracleScheduler(), plan), case
+
+
+def test_fifo_lane_tie_breaks_match_the_reference_heap():
+    """Non-decreasing absolute times with heavy tie density: firing order is
+    exactly the reference heap's ``(time, seq)`` order."""
     for case in range(25):
-        rng = random.Random(case)
-        plan = []
-        for step in range(rng.randint(5, 40)):
-            lane = rng.choice(["plain", "pooled", "fifo"])
-            delay = rng.choice([0.0, 0.5, 1.0, 1.0, 2.5])
-            cancel = lane == "plain" and rng.random() < 0.3
-            plan.append((lane, delay, cancel))
+        rng = random.Random(1000 + case)
+        times = []
+        at = 0.0
+        for _ in range(rng.randint(10, 60)):
+            if rng.random() < 0.6:
+                at += rng.choice([0.0, 0.0, 1.0])
+            times.append(at)
 
         def execute(scheduler):
             fired = []
-            cancellable = []
-
-            def spawn(tag, depth):
-                def callback():
-                    fired.append(tag)
-                    # A third of the events schedule follow-up deliveries, so
-                    # recycled slots are re-acquired while the run is hot.
-                    if depth < 2 and tag % 3 == 0:
-                        scheduler.schedule_fifo(1.0, spawn(tag + 1000, depth + 1))
-
-                return callback
-
-            for index, (lane, delay, cancel) in enumerate(plan):
-                if lane == "plain":
-                    event = scheduler.schedule(delay, spawn(index, 0))
-                    if cancel:
-                        cancellable.append(event)
-                elif lane == "pooled":
-                    scheduler.schedule_pooled(delay, spawn(index, 0))
-                else:
-                    scheduler.schedule_fifo(delay, spawn(index, 0))
-            for event in cancellable:
-                event.cancel()
+            for index, at in enumerate(times):
+                scheduler.schedule_at(at, lambda index=index: fired.append(index))
             scheduler.run()
-            return fired, scheduler.events_processed, scheduler.now, scheduler.pending()
+            return fired
 
-        assert execute(EventScheduler(fastpath=True)) == execute(
-            EventScheduler(fastpath=False)
+        assert execute(EventScheduler()) == execute(OracleScheduler()), case
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"max_time": 1.0},
+        {"max_time": 2.75},
+        {"max_events": 7},
+        {"max_time": 3.0, "max_events": 12},
+    ],
+    ids=["max_time-tie", "max_time-gap", "max_events", "both"],
+)
+def test_run_limits_match_the_oracle(limits):
+    for case in range(25):
+        plan = _random_plan(random.Random(2000 + case))
+        production, oracle = EventScheduler(), OracleScheduler()
+        assert _execute(production, plan, **limits) == _execute(oracle, plan, **limits), case
+        # Resuming after a limit drains the rest in the same order.
+        production.run()
+        oracle.run()
+        assert (production.events_processed, production.now, production.pending()) == (
+            oracle.events_processed,
+            oracle.now,
+            oracle.pending(),
         ), case
 
 
-def test_pool_never_fires_a_callback_twice():
-    scheduler = EventScheduler(fastpath=True)
+def test_stop_when_matches_the_oracle():
+    for case in range(25):
+        plan = _random_plan(random.Random(3000 + case))
+        threshold = len(plan) // 2
+
+        def run(scheduler):
+            return _execute(
+                scheduler, plan, stop_when=lambda: scheduler.events_processed >= threshold
+            )
+
+        assert run(EventScheduler()) == run(OracleScheduler()), case
+
+
+def test_step_matches_the_oracle():
+    plan = _random_plan(random.Random(7))
+    production, oracle = EventScheduler(), OracleScheduler()
+    for scheduler in (production, oracle):
+        for delay, _ in plan:
+            scheduler.schedule(delay, lambda: None)
+    while True:
+        stepped = production.step()
+        assert stepped == oracle.step()
+        assert (production.now, production.events_processed) == (
+            oracle.now,
+            oracle.events_processed,
+        )
+        if not stepped:
+            break
+
+
+def test_every_callback_fires_exactly_once():
+    scheduler = EventScheduler()
     counts = {}
     for wave in range(30):
         for i in range(8):
             key = (wave, i)
-            scheduler.schedule_fifo(
+            scheduler.schedule(
                 float(i % 3), lambda key=key: counts.__setitem__(key, counts.get(key, 0) + 1)
             )
         scheduler.run()
-    assert all(count == 1 for count in counts.values())
     assert len(counts) == 30 * 8
-    assert scheduler.pool_size() <= 8
-
-
-# --------------------------------------------------------------------- #
-# Property: FIFO-lane tie-break equivalence
-# --------------------------------------------------------------------- #
-def test_fifo_lane_tie_breaks_match_the_reference_heap():
-    """Monotone (FIFO-preserving) schedules full of exact time ties: the lane
-    must reproduce the reference heap's (time, seq) order event for event."""
-    for case in range(25):
-        rng = random.Random(1000 + case)
-        # Non-decreasing target times with heavy tie density, interleaved
-        # across the heap lane (timers) and the FIFO lane (deliveries).
-        entries = []
-        time_now = 0.0
-        for index in range(rng.randint(10, 60)):
-            if rng.random() < 0.6:
-                time_now += rng.choice([0.0, 0.0, 1.0])
-            entries.append((time_now, rng.random() < 0.5))
-
-        def execute(scheduler):
-            fired = []
-            for index, (at, use_fifo) in enumerate(entries):
-                if use_fifo:
-                    scheduler.schedule_fifo(at, lambda index=index: fired.append(index))
-                else:
-                    scheduler.schedule(at, lambda index=index: fired.append(index))
-            scheduler.run()
-            return fired
-
-        assert execute(EventScheduler(fastpath=True)) == execute(
-            EventScheduler(fastpath=False)
-        ), case
+    assert all(count == 1 for count in counts.values())
+    assert scheduler.pending() == 0
