@@ -12,15 +12,26 @@ of the *fixed* Figure 1 quorums under i.i.d. failures.
 from __future__ import annotations
 
 import os
+import sys
 
+from repro.engine import ParallelRunner
 from repro.montecarlo import (
     admissibility_sweep,
     admissibility_table,
+    estimate_reliability,
     reliability_sweep,
     reliability_table,
 )
 
 from conftest import bench_once
+
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from oracles import montecarlo as oracle  # noqa: E402
+
+#: The two engines timed by ``test_e6_engine_speedup``, as runners for the
+#: public sweeps: the set-based oracle of ``tests/oracles/montecarlo.py`` and
+#: the production bitset shards.
+ENGINES = {"set": oracle.SetEngineRunner, "bitset": ParallelRunner}
 
 DISCONNECT_PROBS = (0.0, 0.1, 0.2, 0.3, 0.5)
 
@@ -74,7 +85,7 @@ def test_e6_reliability_of_figure1_quorums(benchmark, figure1_gqs):
 
 
 def test_e6_engine_speedup(benchmark, figure1_gqs, bench_numbers):
-    """Batched bitset engine vs the set-based reference: ≥10x samples/sec.
+    """Batched bitset engine vs the set-based oracle: ≥10x samples/sec.
 
     The comparison is at *equal statistical output*: both engines consume the
     shard RNG stream draw for draw, so the counters they produce are asserted
@@ -86,8 +97,6 @@ def test_e6_engine_speedup(benchmark, figure1_gqs, bench_numbers):
     """
     import gc
     import time
-
-    from repro.montecarlo import estimate_reliability
 
     REL_SAMPLES = 3000
     ADM_SAMPLES = 1200
@@ -101,7 +110,7 @@ def test_e6_engine_speedup(benchmark, figure1_gqs, bench_numbers):
             disconnect_prob=0.3,
             samples=REL_SAMPLES,
             seed=5,
-            engine=engine,
+            runner=ENGINES[engine](),
         )
         rel_seconds = time.perf_counter() - start
         start = time.perf_counter()
@@ -113,7 +122,7 @@ def test_e6_engine_speedup(benchmark, figure1_gqs, bench_numbers):
             ADM_SAMPLES,
             None,   # max_crashes
             3,      # seed
-            engine=engine,
+            runner=ENGINES[engine](),
         )
         adm_seconds = time.perf_counter() - start
         return estimate, points, rel_seconds, adm_seconds

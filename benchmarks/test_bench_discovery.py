@@ -8,14 +8,17 @@ deployment's failure assumptions are tolerable at all, so its cost matters.
 
 The ``pruned_vs_seed`` benchmarks pit the production search (bitmask
 candidates + forward checking) against the seed backtracker
-(``algorithm="naive"``: set-based candidate enumeration, prefix-only pruning)
-on the production-size families of :mod:`repro.failures.generators`, and
-**assert** a ≥10x reduction in explored search nodes plus a wall-clock win —
-the acceptance bar of the discovery rework.
+(``tests/oracles/discovery.py``: set-based candidate enumeration,
+prefix-only pruning) on the production-size families of
+:mod:`repro.failures.generators`, and **assert** a ≥10x reduction in
+explored search nodes plus a wall-clock win — the acceptance bar of the
+discovery rework.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 
 from repro.analysis import ResultTable
@@ -29,6 +32,9 @@ from repro.quorums import discover_gqs
 
 from conftest import bench_once
 
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from oracles.discovery import discover_gqs_naive  # noqa: E402
+
 
 def _compare_algorithms(build_system, label):
     """Run both algorithms on fresh system instances and report one table row.
@@ -38,7 +44,7 @@ def _compare_algorithms(build_system, label):
     """
     naive_system = build_system()
     started = time.perf_counter()
-    naive = discover_gqs(naive_system, validate=False, algorithm="naive")
+    naive = discover_gqs_naive(naive_system, validate=False)
     naive_seconds = time.perf_counter() - started
 
     pruned_system = build_system()

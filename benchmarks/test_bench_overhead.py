@@ -11,15 +11,31 @@ from __future__ import annotations
 
 from repro.analysis import ResultTable
 from repro.checkers import check_register_linearizability
-from repro.experiments import compare_register_overhead
-from repro.quorums import threshold_quorum_system
+from repro.experiments import run_workload
+from repro.quorums import GeneralizedQuorumSystem, threshold_quorum_system
 
 from conftest import bench_once
 
 
+def run_both_registers(classical_system, ops_per_process):
+    """The same failure-free register workload under ABD and the GQS register."""
+    gqs_system = GeneralizedQuorumSystem.from_classical(classical_system)
+    return {
+        "classical_abd": run_workload(
+            "register",
+            gqs_system,
+            ops_per_process=ops_per_process,
+            protocol_params={"classical": True},
+        ),
+        "gqs_register": run_workload(
+            "register", gqs_system, ops_per_process=ops_per_process, protocol_params={"relay": False}
+        ),
+    }
+
+
 def test_e4_access_function_overhead(benchmark):
     classical_system = threshold_quorum_system(["a", "b", "c", "d", "e"], 2)
-    runs = bench_once(benchmark, compare_register_overhead, classical_system, None, 2)
+    runs = bench_once(benchmark, run_both_registers, classical_system, 2)
 
     table = ResultTable(
         title="E4: classical ABD vs GQS register (failure-free, n=5, k=2)",

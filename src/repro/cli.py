@@ -113,18 +113,36 @@ def _jobs_value(text: str) -> int:
     return value
 
 
-def _runs_value(text: str) -> int:
-    """argparse type for ``scenario ... --runs``: a positive int.
+def _positive_int(noun: str):
+    """argparse type for a count that must be at least 1; ``noun`` names it in errors.
 
     Rejecting 0 matters: a zero-run batch would report ``0/0`` liveness and
-    safety and exit 0 — a vacuously green result.
+    safety and exit 0, and a zero-sample sweep a vacuous table — green results
+    that measured nothing.
     """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got {!r}".format(text))
+        if value < 1:
+            raise argparse.ArgumentTypeError("{} must be at least 1".format(noun))
+        return value
+
+    return parse
+
+
+def _probability_value(text: str) -> float:
+    """argparse type for a probability: a float in ``[0, 1]``."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got {!r}".format(text))
-    if value < 1:
-        raise argparse.ArgumentTypeError("runs must be at least 1")
+        raise argparse.ArgumentTypeError("expected a number, got {!r}".format(text))
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            "probability must be between 0 and 1, got {!r}".format(text)
+        )
     return value
 
 
@@ -398,7 +416,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         progress_factory=(
             (lambda label: functools.partial(_stderr_progress, label)) if args.progress else None
         ),
-        engine=args.engine,
     )
     if args.format == "json":
         print(outcome.to_json())
@@ -695,9 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         choices=list(DISCOVERY_ALGORITHMS),
         default="pruned",
-        help="search strategy: 'pruned' (bitmask forward checking, default), "
-        "'quotient' (symmetry-quotiented search) or 'naive' (the reference "
-        "backtracker)",
+        help="search strategy: 'pruned' (bitmask forward checking, default) or "
+        "'quotient' (symmetry-quotiented search)",
     )
     quorums_discover.add_argument(
         "--progress",
@@ -764,11 +780,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="which registered protocol to drive (plugins extend this list)",
     )
     simulate.add_argument("--pattern", help="name of the failure pattern to inject (default: none)")
-    simulate.add_argument("--ops", type=int, default=2, help="operations per invoking process")
+    simulate.add_argument(
+        "--ops", type=_positive_int("ops"), default=2, help="operations per invoking process"
+    )
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
         "--runs",
-        type=int,
+        type=_positive_int("runs"),
         default=1,
         help="repeat the simulation under seeds spawned deterministically from "
         "--seed and aggregate the verdicts (default 1)",
@@ -790,10 +808,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run the Monte Carlo studies")
     sweep.add_argument("kind", choices=["admissibility", "reliability", "all"], default="all", nargs="?")
-    sweep.add_argument("--probs", type=float, nargs="+", default=[0.0, 0.1, 0.2, 0.3, 0.5])
-    sweep.add_argument("--samples", type=int, default=40)
-    sweep.add_argument("--n", type=int, default=5)
-    sweep.add_argument("--patterns", type=int, default=3)
+    sweep.add_argument(
+        "--probs", type=_probability_value, nargs="+", default=[0.0, 0.1, 0.2, 0.3, 0.5]
+    )
+    sweep.add_argument("--samples", type=_positive_int("samples"), default=40)
+    sweep.add_argument("--n", type=_positive_int("n"), default=5)
+    sweep.add_argument("--patterns", type=_positive_int("patterns"), default=3)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument(
         "--jobs",
@@ -806,13 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         action="store_true",
         help="report per-shard progress on stderr",
-    )
-    sweep.add_argument(
-        "--engine",
-        choices=["bitset", "set"],
-        default="bitset",
-        help="Monte Carlo evaluation engine: batched integer bitmasks (default) or the "
-        "set-based reference path; both produce identical results for every seed",
     )
     sweep.add_argument(
         "--format",
@@ -849,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument("name", help="registered scenario name")
     scenario_run.add_argument(
         "--runs",
-        type=_runs_value,
+        type=_positive_int("runs"),
         default=None,
         help="seeded repetitions (default: the scenario's default_runs)",
     )
@@ -881,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_sweep.add_argument(
         "--runs",
-        type=_runs_value,
+        type=_positive_int("runs"),
         default=None,
         help="seeded repetitions per scenario (default: each scenario's default_runs)",
     )
@@ -919,20 +932,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     nemesis_hunt.add_argument(
         "--budget",
-        type=_runs_value,
+        type=_positive_int("budget"),
         default=32,
         help="mutant evaluations to spend (default 32; seed baselines come on top)",
     )
     nemesis_hunt.add_argument(
         "--seeds",
-        type=_runs_value,
+        type=_positive_int("seeds"),
         default=2,
         help="identity schedules seeding the corpus (default 2); "
         "each replays one run of 'repro scenario run --seed SEED'",
     )
     nemesis_hunt.add_argument(
         "--batch",
-        type=_runs_value,
+        type=_positive_int("batch"),
         default=4,
         help="candidates per generation (default 4); fixed independently of --jobs "
         "so the search trajectory never depends on the worker count",

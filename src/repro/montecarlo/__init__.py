@@ -7,10 +7,8 @@ from .comparison import (
     asymmetric_admissibility_sweep,
     gqs_strictly_weaker_examples,
     sample_asymmetric_partition_system,
-    sample_fail_prone_system,
 )
 from .reliability import (
-    MONTE_CARLO_ENGINES,
     ReliabilityEstimate,
     estimate_reliability,
     reliability_sweep,
@@ -19,7 +17,6 @@ from .reliability import (
 
 __all__ = [
     "AdmissibilityPoint",
-    "MONTE_CARLO_ENGINES",
     "ReliabilityEstimate",
     "admissibility_sweep",
     "admissibility_table",
@@ -29,5 +26,4 @@ __all__ = [
     "reliability_sweep",
     "reliability_table",
     "sample_asymmetric_partition_system",
-    "sample_fail_prone_system",
 ]

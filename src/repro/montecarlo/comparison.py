@@ -14,22 +14,15 @@ more likely.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.metrics import ResultTable
-from ..engine import (
-    DEFAULT_CHUNK_SIZE,
-    ExperimentSpec,
-    ParallelRunner,
-    ShardSpec,
-    derive_seed,
-)
+from ..engine import DEFAULT_CHUNK_SIZE, ExperimentSpec, ParallelRunner, derive_seed
 from ..engine.runner import ProgressCallback
 from ..errors import ReproError
-from ..failures import FailProneSystem, FailurePattern, random_failure_pattern
-from ..quorums import classify_fail_prone_system, gqs_exists, strong_system_exists
-from .reliability import MONTE_CARLO_ENGINES, resolve_engine
+from ..failures import FailProneSystem, FailurePattern
+from ..quorums import gqs_exists, strong_system_exists
 
 
 @dataclass
@@ -54,57 +47,6 @@ class AdmissibilityPoint:
     @property
     def classical_fraction(self) -> float:
         return self.classical / self.samples if self.samples else 0.0
-
-
-def sample_fail_prone_system(
-    rng: random.Random,
-    n: int,
-    num_patterns: int,
-    crash_prob: float,
-    disconnect_prob: float,
-    max_crashes: Optional[int] = None,
-) -> FailProneSystem:
-    """Sample one random fail-prone system (helper shared by the sweeps)."""
-    processes = ["p{}".format(i) for i in range(n)]
-    patterns = [
-        random_failure_pattern(
-            processes,
-            rng,
-            crash_prob=crash_prob,
-            disconnect_prob=disconnect_prob,
-            max_crashes=max_crashes,
-            name="f{}".format(i),
-        )
-        for i in range(num_patterns)
-    ]
-    return FailProneSystem(processes, patterns)
-
-
-def _admissibility_shard(spec: ExperimentSpec, shard: ShardSpec) -> AdmissibilityPoint:
-    """Classify one shard's worth of random fail-prone systems (worker side)."""
-    rng = random.Random(shard.seed)
-    point = AdmissibilityPoint(
-        disconnect_prob=spec.params["disconnect_prob"],
-        crash_prob=spec.params["crash_prob"],
-        samples=shard.samples,
-    )
-    for _ in range(shard.samples):
-        system = sample_fail_prone_system(
-            rng,
-            n=spec.params["n"],
-            num_patterns=spec.params["num_patterns"],
-            crash_prob=spec.params["crash_prob"],
-            disconnect_prob=spec.params["disconnect_prob"],
-            max_crashes=spec.params["max_crashes"],
-        )
-        verdict = classify_fail_prone_system(system)
-        if verdict["generalized"]:
-            point.generalized += 1
-        if verdict["strong"]:
-            point.strong += 1
-        if verdict["classical"]:
-            point.classical += 1
-    return point
 
 
 def _merge_admissibility(
@@ -142,13 +84,6 @@ def _merge_admissibility(
     return merged
 
 
-def _admissibility_task(engine: str):
-    """The shard task implementing ``engine`` (see :data:`MONTE_CARLO_ENGINES`)."""
-    from .bitsampler import _admissibility_shard_bitset
-
-    return resolve_engine(engine, _admissibility_shard, _admissibility_shard_bitset)
-
-
 def admissibility_sweep(
     disconnect_probs: Sequence[float] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5),
     n: int = 5,
@@ -161,15 +96,15 @@ def admissibility_sweep(
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     runner: Optional[ParallelRunner] = None,
-    engine: str = "bitset",
 ) -> List[AdmissibilityPoint]:
     """Classify random fail-prone systems across a channel-failure probability sweep.
 
     Each grid point's sample budget is sharded with deterministic per-shard
     seeds and all shards share one worker pool; the classification counts are
-    independent of ``jobs`` and of ``engine`` (the bitmask and set engines
-    are sample-for-sample equivalent).
+    independent of ``jobs``.
     """
+    from .bitsampler import _admissibility_shard_bitset
+
     runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
     specs = [
         ExperimentSpec(
@@ -187,7 +122,7 @@ def admissibility_sweep(
         )
         for disconnect_prob in disconnect_probs
     ]
-    return runner.run_sharded(specs, _admissibility_task(engine), _merge_admissibility)
+    return runner.run_sharded(specs, _admissibility_shard_bitset, _merge_admissibility)
 
 
 def admissibility_table(points: Iterable[AdmissibilityPoint]) -> ResultTable:
@@ -247,25 +182,6 @@ def sample_asymmetric_partition_system(
     return FailProneSystem(processes, patterns)
 
 
-def _asymmetric_shard(spec: ExperimentSpec, shard: ShardSpec) -> Tuple[int, int]:
-    """Count (QS+, GQS) admissions in one shard of asymmetric-partition samples."""
-    rng = random.Random(shard.seed)
-    strong_count = 0
-    generalized_count = 0
-    for _ in range(shard.samples):
-        system = sample_asymmetric_partition_system(
-            rng,
-            n=spec.params["n"],
-            num_patterns=spec.params["num_patterns"],
-            window_size=spec.params["window_size"],
-        )
-        if strong_system_exists(system):
-            strong_count += 1
-        if gqs_exists(system):
-            generalized_count += 1
-    return strong_count, generalized_count
-
-
 def _merge_asymmetric(
     spec: ExperimentSpec, shard_counts: List[Tuple[int, int]]
 ) -> Dict[str, object]:
@@ -282,13 +198,6 @@ def _merge_asymmetric(
     }
 
 
-def _asymmetric_task(engine: str):
-    """The shard task implementing ``engine`` (see :data:`MONTE_CARLO_ENGINES`)."""
-    from .bitsampler import _asymmetric_shard_bitset
-
-    return resolve_engine(engine, _asymmetric_shard, _asymmetric_shard_bitset)
-
-
 def asymmetric_admissibility_sweep(
     n_values: Sequence[int] = (4, 5, 6),
     num_patterns: int = 3,
@@ -299,7 +208,6 @@ def asymmetric_admissibility_sweep(
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     runner: Optional[ParallelRunner] = None,
-    engine: str = "bitset",
 ) -> ResultTable:
     """E6 (second series): admissibility under the asymmetric-partition distribution.
 
@@ -310,6 +218,8 @@ def asymmetric_admissibility_sweep(
     fraction admitting a GQS.  The GQS column dominates — the quantitative form
     of "GQS is strictly weaker".
     """
+    from .bitsampler import _asymmetric_shard_bitset
+
     runner = runner if runner is not None else ParallelRunner(jobs=jobs, progress=progress)
     specs = [
         ExperimentSpec(
@@ -321,7 +231,7 @@ def asymmetric_admissibility_sweep(
         )
         for n in n_values
     ]
-    rows = runner.run_sharded(specs, _asymmetric_task(engine), _merge_asymmetric)
+    rows = runner.run_sharded(specs, _asymmetric_shard_bitset, _merge_asymmetric)
     table = ResultTable(
         title="E6: admissibility under asymmetric partitions (GQS vs QS+)",
         columns=["n", "samples", "strong (QS+)", "generalized (GQS)", "gap"],

@@ -16,7 +16,8 @@ Enlarging quorums only helps Consistency, so a GQS exists **iff** one SCC
 every ordered pair of patterns ``(f, g)``.
 
 That choice problem is a binary constraint-satisfaction problem over the
-per-pattern candidate lists, and this module solves it at two speeds:
+per-pattern candidate lists, and this module solves it with one of two
+searches:
 
 * ``algorithm="pruned"`` (the default): candidates are enumerated on the
   memoized bitmask view of each residual graph
@@ -38,11 +39,6 @@ per-pattern candidate lists, and this module solves it at two speeds:
   single candidate by forward checking are propagated as free assignments, so
   ``nodes_explored`` counts only genuine decisions.  On systems without a
   declared symmetry the search degrades to the pruned strategy.
-* ``algorithm="naive"``: the original reference backtracker, kept as a
-  differential-testing oracle and benchmark baseline.  It re-derives residual
-  graphs with ordinary set operations and checks compatibility only against
-  the already-chosen prefix, exploring (and counting) every candidate it
-  tries.
 
 The quotient search returns the *same verdict and the same witness* as the
 pruned search: the first solution depth-first search finds is the
@@ -55,22 +51,22 @@ Both algorithms see the same fully specified candidate order (read-quorum size
 descending, then write-quorum size, then the sorted process lists), visit
 patterns in the same order, and are deterministic: no output — witness
 quorums, candidate order or ``nodes_explored`` — depends on
-``PYTHONHASHSEED``.  A (size-guarded) brute-force reference implementation
-over arbitrary subsets is provided for cross-checking on tiny systems.
+``PYTHONHASHSEED``.  The reference deciders they are checked against — the
+original set-based backtracker and a brute-force search over arbitrary subsets
+— live in ``tests/oracles/discovery.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine.runner import ProgressCallback
 from ..errors import NoQuorumSystemExistsError
 from ..failures import FailProneSystem, FailurePattern, SymmetryGroup
-from ..graph import can_reach, iter_bits, permute_mask, strongly_connected_components
-from ..types import ProcessId, ProcessSet, sort_key, sorted_processes
-from .generalized import GeneralizedQuorumSystem, is_f_available, is_f_reachable
+from ..graph import iter_bits, permute_mask
+from ..types import ProcessSet, sort_key, sorted_processes
+from .generalized import GeneralizedQuorumSystem
 
 #: Namespace under which per-pattern candidate structures are memoized on a
 #: :class:`FailProneSystem` (see :meth:`FailProneSystem.analysis_cache`).
@@ -78,7 +74,7 @@ CANDIDATE_CACHE_NAMESPACE = "gqs-candidates"
 
 #: The supported search strategies of :func:`discover_gqs` (``"pruned"`` is
 #: the default).
-DISCOVERY_ALGORITHMS = ("pruned", "quotient", "naive")
+DISCOVERY_ALGORITHMS = ("pruned", "quotient")
 
 
 @dataclass(frozen=True)
@@ -175,56 +171,6 @@ def candidate_pairs(
     memoized on ``fail_prone`` and computed on its bitmask residual view.
     """
     return [entry.pair for entry in _masked_candidates(fail_prone, pattern)]
-
-
-def candidate_pairs_reference(
-    fail_prone: FailProneSystem, pattern: FailurePattern
-) -> List[CandidateQuorumPair]:
-    """Uncached set-based candidate enumeration (the pre-bitmask pipeline).
-
-    Retained as the differential-testing oracle for :func:`candidate_pairs`
-    and as the honest cost baseline of ``algorithm="naive"``: residual graph,
-    Tarjan SCCs and reader closures are recomputed from scratch with ordinary
-    set operations on every call.
-    """
-    residual = pattern.residual_graph(fail_prone.graph_view)
-    candidates: List[CandidateQuorumPair] = []
-    for component in strongly_connected_components(residual):
-        if not component:
-            continue
-        readers = can_reach(residual, component)
-        candidates.append(
-            CandidateQuorumPair(pattern=pattern, write_quorum=component, read_quorum=readers)
-        )
-    candidates.sort(key=_candidate_sort_key)
-    return candidates
-
-
-def _compatible(a: CandidateQuorumPair, b: CandidateQuorumPair) -> bool:
-    """Mutual Consistency between the candidates chosen for two patterns."""
-    return bool(a.read_quorum & b.write_quorum) and bool(b.read_quorum & a.write_quorum)
-
-
-def _naive_search(
-    per_pattern: Sequence[Sequence[CandidateQuorumPair]], result: DiscoveryResult
-) -> Optional[List[CandidateQuorumPair]]:
-    """The reference backtracker: pairwise checks against the chosen prefix."""
-    order = sorted(range(len(per_pattern)), key=lambda i: len(per_pattern[i]))
-    chosen: List[CandidateQuorumPair] = []
-
-    def backtrack(depth: int) -> bool:
-        if depth == len(order):
-            return True
-        for candidate in per_pattern[order[depth]]:
-            result.nodes_explored += 1
-            if all(_compatible(candidate, prev) for prev in chosen):
-                chosen.append(candidate)
-                if backtrack(depth + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return chosen if backtrack(0) else None
 
 
 def _pruned_search(
@@ -637,17 +583,7 @@ def discover_gqs(
     result = DiscoveryResult(fail_prone=fail_prone, exists=False, algorithm=algorithm)
 
     empty = False
-    if algorithm == "naive":
-        naive_candidates: List[List[CandidateQuorumPair]] = []
-        for done, f in enumerate(patterns):
-            cands = candidate_pairs_reference(fail_prone, f)
-            result.candidates_per_pattern[f] = len(cands)
-            empty = empty or not cands
-            naive_candidates.append(cands)
-            if progress is not None:
-                progress(done + 1, len(patterns))
-        chosen = None if empty else _naive_search(naive_candidates, result)
-    elif algorithm == "quotient":
+    if algorithm == "quotient":
         quotiented = _quotient_candidates(fail_prone, patterns, result, progress)
         for f, cands in zip(patterns, quotiented):
             result.candidates_per_pattern[f] = len(cands)
@@ -728,58 +664,6 @@ def find_gqs(fail_prone: FailProneSystem) -> GeneralizedQuorumSystem:
             "the fail-prone system {!r} admits no generalized quorum system".format(fail_prone)
         )
     return result.quorum_system
-
-
-def gqs_exists_bruteforce(fail_prone: FailProneSystem, max_processes: int = 5) -> bool:
-    """Reference (exponential) decision procedure used to cross-check the search.
-
-    For every failure pattern all availability-validating ``(R, W)`` pairs over
-    *arbitrary subsets* of the process set are enumerated; the procedure then
-    looks for one choice per pattern such that every chosen read quorum
-    intersects every chosen write quorum.  Guarded to small systems because the
-    candidate enumeration is exponential in ``n``.
-    """
-    processes = sorted_processes(fail_prone.processes)
-    if len(processes) > max_processes:
-        raise ValueError(
-            "brute-force check limited to {} processes (got {})".format(
-                max_processes, len(processes)
-            )
-        )
-    subsets: List[ProcessSet] = []
-    for size in range(1, len(processes) + 1):
-        subsets.extend(frozenset(c) for c in itertools.combinations(processes, size))
-
-    per_pattern: List[List[Tuple[ProcessSet, ProcessSet]]] = []
-    for f in fail_prone:
-        pairs = [
-            (r, w)
-            for w in subsets
-            if is_f_available(fail_prone, f, w)
-            for r in subsets
-            if is_f_reachable(fail_prone, f, w, r)
-        ]
-        if not pairs:
-            return False
-        per_pattern.append(pairs)
-
-    chosen: List[Tuple[ProcessSet, ProcessSet]] = []
-
-    def compatible(a: Tuple[ProcessSet, ProcessSet], b: Tuple[ProcessSet, ProcessSet]) -> bool:
-        return bool(a[0] & b[1]) and bool(b[0] & a[1]) and bool(a[0] & a[1]) and bool(b[0] & b[1])
-
-    def backtrack(i: int) -> bool:
-        if i == len(per_pattern):
-            return True
-        for pair in per_pattern[i]:
-            if all(compatible(pair, prev) for prev in chosen):
-                chosen.append(pair)
-                if backtrack(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return backtrack(0)
 
 
 def classify_fail_prone_system(fail_prone: FailProneSystem) -> Dict[str, bool]:

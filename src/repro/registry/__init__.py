@@ -33,7 +33,6 @@ from .core import (
     ALL_REGISTRIES,
     Descriptor,
     Registry,
-    RegistryView,
     validate_params,
 )
 from .plugins import (
@@ -54,7 +53,6 @@ __all__ = [
     "PLUGINS_ENV_VAR",
     "PROTOCOLS",
     "Registry",
-    "RegistryView",
     "SCENARIOS",
     "TOPOLOGIES",
     "load_env_plugins",

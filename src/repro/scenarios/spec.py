@@ -27,9 +27,9 @@ from typing import Any, Dict, Optional
 
 from ..errors import ReproError
 from ..experiments import validate_protocol_params  # populates the protocol registry
-from ..failures import TOPOLOGY_KINDS  # noqa: F401 - populates the topology registry
+from ..failures import generators  # noqa: F401 - populates the topology registry
 from ..registry import DELAY_MODELS, TOPOLOGIES
-from ..sim import DELAY_MODEL_KINDS  # noqa: F401 - populates the delay-model registry
+from ..sim import delays  # noqa: F401 - populates the delay-model registry
 
 __all__ = [
     "DelaySpec",
@@ -44,7 +44,7 @@ __all__ = [
 
 #: Topology kind for an inline fail-prone system description (see
 #: :mod:`repro.serialization`); handled by the scenario builders rather than
-#: by :data:`repro.failures.TOPOLOGY_KINDS`.
+#: by the :data:`repro.registry.TOPOLOGIES` registry.
 EXPLICIT_TOPOLOGY = "explicit"
 
 
@@ -126,7 +126,7 @@ class FailureSpec:
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """Which delay model the network uses (see :data:`repro.sim.DELAY_MODEL_KINDS`)."""
+    """Which delay model the network uses (see :data:`repro.registry.DELAY_MODELS`)."""
 
     kind: str = "uniform"
     params: Dict[str, Any] = field(default_factory=dict)
@@ -149,7 +149,7 @@ class DelaySpec:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """Which protocol to run (see :data:`repro.experiments.PROTOCOL_KINDS`)."""
+    """Which protocol to run (see :data:`repro.registry.PROTOCOLS`)."""
 
     kind: str
     params: Dict[str, Any] = field(default_factory=dict)
@@ -176,7 +176,8 @@ class WorkloadSpec:
     """The client workload: operation count, spacing, and liveness horizon.
 
     ``op_spacing`` and ``max_time`` default (``None``) to the protocol's
-    canonical values from :data:`repro.experiments.WORKLOAD_DEFAULTS`.
+    canonical values (the ``defaults`` extra of its
+    :data:`repro.registry.PROTOCOLS` descriptor).
     """
 
     ops_per_process: int = 2

@@ -20,7 +20,6 @@ unchanged — it only reads the ``*.trace.jsonl`` files.
 """
 
 from .check import (
-    CHECKER_KINDS,
     TraceCheckReport,
     check_trace,
     check_traces,
@@ -47,7 +46,6 @@ from .store import (
 )
 
 __all__ = [
-    "CHECKER_KINDS",
     "INCIDENT_KEYS",
     "INCIDENT_SCHEMA_VERSION",
     "INCIDENT_SUFFIX",

@@ -162,20 +162,21 @@ def test_quorums_discover_reports_impossibility(capsys):
 
 
 def test_quorums_discover_naive_algorithm_agrees(capsys):
+    """The CLI's pruned witness equals the reference backtracker's, row for row."""
+    from oracles.discovery import discover_gqs_naive
+    from repro import api
+    from repro.failures import builtin_fail_prone_system
+
     assert main(["quorums", "discover", "--builtin", "ring-5", "--format", "json"]) == 0
     pruned = json.loads(capsys.readouterr().out)
-    assert (
-        main(
-            [
-                "quorums", "discover", "--builtin", "ring-5",
-                "--algorithm", "naive", "--format", "json",
-            ]
-        )
-        == 0
-    )
-    naive = json.loads(capsys.readouterr().out)
+    system = builtin_fail_prone_system("ring-5")
+    naive = api.DiscoveryReport(system, discover_gqs_naive(system, validate=False)).to_dict()
     assert pruned["exists"] == naive["exists"] is True
     assert pruned["patterns"] == naive["patterns"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["quorums", "discover", "--builtin", "ring-5", "--algorithm", "naive"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'naive'" in capsys.readouterr().err
 
 
 def test_quorums_classify_table_and_json(capsys):

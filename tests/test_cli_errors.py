@@ -81,3 +81,48 @@ def test_unknown_plugin_module_golden_message(capsys):
     assert captured.err.startswith(
         "error: plugin 'no_such_plugin_module' failed to import: ModuleNotFoundError:"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--samples", "-3"], "argument --samples: samples must be at least 1"),
+        (
+            ["sweep", "--probs", "1.5"],
+            "argument --probs: probability must be between 0 and 1, got '1.5'",
+        ),
+        (
+            ["sweep", "--probs", "-0.5"],
+            "argument --probs: probability must be between 0 and 1, got '-0.5'",
+        ),
+        (["sweep", "admissibility", "--n", "0"], "argument --n: n must be at least 1"),
+        (
+            ["sweep", "admissibility", "--patterns", "0"],
+            "argument --patterns: patterns must be at least 1",
+        ),
+        (["simulate", "--ops", "0"], "argument --ops: ops must be at least 1"),
+        (["simulate", "--runs", "0"], "argument --runs: runs must be at least 1"),
+        (["simulate", "--runs", "-2"], "argument --runs: runs must be at least 1"),
+    ],
+    ids=[
+        "sweep-samples-negative",
+        "sweep-probs-above-one",
+        "sweep-probs-negative",
+        "sweep-n-zero",
+        "sweep-patterns-zero",
+        "simulate-ops-zero",
+        "simulate-runs-zero",
+        "simulate-runs-negative",
+    ],
+)
+def test_counts_and_probabilities_are_validated_by_argparse(capsys, argv, message):
+    """Impossible counts and probabilities are one-line usage errors (exit 2),
+    never a traceback, a vacuous table or a silent single run."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    command = argv[0]
+    assert captured.err.endswith("repro {}: error: {}\n".format(command, message))

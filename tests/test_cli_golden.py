@@ -9,6 +9,8 @@ cannot silently change user-visible output of the existing commands.
 import json
 import os
 
+import pytest
+
 from repro.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -35,3 +37,14 @@ def test_quorums_discover_json_is_byte_identical(capsys):
     out = capsys.readouterr().out
     assert out == _golden("quorums_discover_figure1.json")
     json.loads(out)  # and it stays well-formed JSON
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_table_and_json_match_goldens_recorded_with_two_engines(capsys, jobs):
+    """`repro sweep` bytes, recorded while the set-based engine was still
+    selectable (both engines produced them), at every job count."""
+    argv = ["sweep", "--seed", "7", "--samples", "8", "--probs", "0.0", "0.3", "--jobs", jobs]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _golden("sweep_seed7_samples8.txt")
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == _golden("sweep_seed7_samples8.json")

@@ -15,12 +15,14 @@ import sys
 import repro
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
 #: Systems with channel failures (multiple SCC candidates per pattern), where
 #: a hash-order-dependent traversal has the most room to reorder the search.
 DISCOVERY_SCRIPT = r"""
 import json
 
+from oracles.discovery import discover_gqs_naive
 from repro.failures import (
     builtin_fail_prone_system,
     large_threshold_system,
@@ -40,8 +42,9 @@ systems = [
 report = []
 for system in systems:
     entry = {"system": system.name}
-    for algorithm in ("pruned", "naive"):
-        result = discover_gqs(system, validate=False, algorithm=algorithm)
+    deciders = {"pruned": discover_gqs, "naive": discover_gqs_naive}
+    for algorithm, decide in deciders.items():
+        result = decide(system, validate=False)
         entry[algorithm] = {
             "exists": result.exists,
             "nodes_explored": result.nodes_explored,
@@ -66,7 +69,7 @@ print(json.dumps(report, sort_keys=True))
 def _run_under_hash_seed(hash_seed: str, argv=None) -> bytes:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join([SRC_DIR, TESTS_DIR, env.get("PYTHONPATH", "")])
     command = argv if argv is not None else [sys.executable, "-c", DISCOVERY_SCRIPT]
     completed = subprocess.run(
         command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE

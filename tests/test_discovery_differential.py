@@ -4,9 +4,10 @@ Three independent implementations must agree on randomized small systems:
 
 * ``discover_gqs(..., algorithm="pruned")`` — the bitmask forward-checking
   search used in production;
-* ``discover_gqs(..., algorithm="naive")`` — the reference backtracker with
-  set-based candidate enumeration;
-* ``gqs_exists_bruteforce`` — exhaustive enumeration over arbitrary subsets.
+* ``discover_gqs_naive`` (:mod:`oracles.discovery`) — the reference
+  backtracker with set-based candidate enumeration;
+* ``gqs_exists_bruteforce`` (:mod:`oracles.discovery`) — exhaustive
+  enumeration over arbitrary subsets.
 
 The battery also pins the candidate enumeration (bitmask vs. Tarjan-based) to
 byte-equality and checks :func:`suggest_channel_repairs` minimality under the
@@ -19,14 +20,17 @@ import itertools
 
 import pytest
 
+from oracles.discovery import (
+    candidate_pairs_reference,
+    discover_gqs_naive,
+    gqs_exists_bruteforce,
+)
 from repro.analysis import figure1_modified_fail_prone_system
 from repro.failures import random_fail_prone_system
 from repro.quorums import (
     candidate_pairs,
-    candidate_pairs_reference,
     discover_gqs,
     gqs_exists,
-    gqs_exists_bruteforce,
     harden_channels,
     suggest_channel_repairs,
 )
@@ -58,7 +62,7 @@ def test_pruned_naive_and_bruteforce_agree_on_random_systems():
     admitted = 0
     for system in _random_systems():
         pruned = discover_gqs(system, validate=False)
-        naive = discover_gqs(system, validate=False, algorithm="naive")
+        naive = discover_gqs_naive(system, validate=False)
         brute = gqs_exists_bruteforce(system)
         assert pruned.exists == naive.exists == brute, system.describe()
         checked += 1
@@ -71,7 +75,7 @@ def test_pruned_naive_and_bruteforce_agree_on_random_systems():
 def test_pruned_and_naive_witnesses_are_identical_and_valid():
     for system in _random_systems():
         pruned = discover_gqs(system)
-        naive = discover_gqs(system, algorithm="naive")
+        naive = discover_gqs_naive(system)
         if not pruned.exists:
             continue
         assert pruned.quorum_system is not None and pruned.quorum_system.is_valid()
@@ -84,7 +88,7 @@ def test_pruned_and_naive_witnesses_are_identical_and_valid():
 def test_forward_checking_never_explores_more_nodes_than_the_reference():
     for system in _random_systems():
         pruned = discover_gqs(system, validate=False)
-        naive = discover_gqs(system, validate=False, algorithm="naive")
+        naive = discover_gqs_naive(system, validate=False)
         assert pruned.nodes_explored <= naive.nodes_explored, system.describe()
 
 

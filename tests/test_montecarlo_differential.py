@@ -1,38 +1,41 @@
-"""Differential battery: the bitset Monte Carlo engine vs the set-based engine.
+"""Differential battery: the bitset Monte Carlo engine vs the set-based oracle.
 
 The bitmask engine (:mod:`repro.montecarlo.bitsampler`) is a faster
-representation of the same experiment, never a different experiment.  These
-tests pin the strongest form of that claim: for identical shard seeds the two
-engines consume the RNG stream draw for draw and therefore produce **the same
-counters on every sample**, not merely statistically compatible estimates.
-The battery runs the samplers head-to-head, sweeps ≥20 random systems and
-configurations through both engines, and checks the public ``sweep`` JSON is
-byte-identical across engines and across ``jobs`` counts.
+representation of the same experiment as the object-per-pattern reference in
+:mod:`oracles.montecarlo`, never a different experiment.  These tests pin the
+strongest form of that claim: for identical shard seeds the two consume the
+RNG stream draw for draw and therefore produce **the same counters on every
+sample**, not merely statistically compatible estimates.  The battery runs
+the samplers head-to-head, sweeps ≥20 random systems and configurations
+through both, and checks the public ``sweep`` JSON is byte-identical to the
+oracle's across ``jobs`` counts.
 """
 
+import inspect
 import json
 import random
 
 import pytest
 
+from oracles import montecarlo as oracle
 from repro import api
-from repro.errors import ReproError
+from repro.analysis import figure1_quorum_system
+from repro.cli import main
+from repro.engine import ParallelRunner
 from repro.failures import FailProneSystem, FailurePattern
+from repro.failures.generators import random_failure_pattern
 from repro.graph import ProcessIndex
 from repro.montecarlo import (
-    MONTE_CARLO_ENGINES,
     admissibility_sweep,
     asymmetric_admissibility_sweep,
     estimate_reliability,
     reliability_sweep,
 )
-from repro.montecarlo.bitsampler import (
-    sample_admissibility_masks,
-    sample_reliability_masks,
-)
-from repro.montecarlo.reliability import _sample_pattern, resolve_engine
-from repro.failures.generators import random_failure_pattern
 from repro.quorums import GeneralizedQuorumSystem
+
+#: Both engines, as runners for the public sweeps: the production bitset
+#: shards and the set-based oracle.
+ENGINES = {"bitset": ParallelRunner, "set": oracle.SetEngineRunner}
 
 
 def _random_quorum_system(rng, n):
@@ -63,10 +66,10 @@ def test_reliability_mask_sampler_is_a_stream_twin_of_sample_pattern():
         rng_set = random.Random(seed)
         rng_bit = random.Random(seed)
         for crash_prob, disconnect_prob in [(0.3, 0.4), (1.0, 0.0), (0.9, 0.9)]:
-            pattern = _sample_pattern(
+            pattern = oracle._sample_pattern(
                 sorted(processes, key=repr), rng_set, crash_prob, disconnect_prob
             )
-            crash_mask, succ_clear = sample_reliability_masks(
+            crash_mask, succ_clear = oracle.sample_reliability_masks(
                 order, rng_bit, crash_prob, disconnect_prob
             )
             assert index.set_of(crash_mask) == pattern.crash_prone
@@ -87,7 +90,7 @@ def test_admissibility_mask_sampler_is_a_stream_twin_of_random_pattern():
                 processes, rng_set, crash_prob=0.5, disconnect_prob=0.4,
                 max_crashes=max_crashes,
             )
-            crash_mask, succ_clear = sample_admissibility_masks(
+            crash_mask, succ_clear = oracle.sample_admissibility_masks(
                 order, rng_bit, 0.5, 0.4, max_crashes
             )
             assert index.set_of(crash_mask) == pattern.crash_prone
@@ -113,9 +116,9 @@ def test_reliability_counters_equal_on_random_systems():
                 disconnect_prob=disconnect_prob,
                 samples=60,
                 seed=seed,
-                engine=engine,
+                runner=runner(),
             )
-            for engine in MONTE_CARLO_ENGINES
+            for engine, runner in ENGINES.items()
         }
         assert estimates["bitset"] == estimates["set"], (
             case, crash_prob, disconnect_prob, seed,
@@ -137,8 +140,8 @@ def test_admissibility_counters_equal_on_random_configurations():
             seed=rng.randrange(10_000),
         )
         points = {
-            engine: admissibility_sweep(engine=engine, **config)
-            for engine in MONTE_CARLO_ENGINES
+            engine: admissibility_sweep(runner=runner(), **config)
+            for engine, runner in ENGINES.items()
         }
         assert points["bitset"] == points["set"], (case, config)
 
@@ -146,9 +149,9 @@ def test_admissibility_counters_equal_on_random_configurations():
 def test_asymmetric_sweep_equal_across_engines():
     tables = {
         engine: asymmetric_admissibility_sweep(
-            n_values=(3, 4, 5, 6), num_patterns=3, samples=40, seed=9, engine=engine
+            n_values=(3, 4, 5, 6), num_patterns=3, samples=40, seed=9, runner=runner()
         )
-        for engine in MONTE_CARLO_ENGINES
+        for engine, runner in ENGINES.items()
     }
     assert tables["bitset"].rows == tables["set"].rows
 
@@ -158,7 +161,7 @@ def test_reliability_counters_independent_of_jobs(figure1_gqs):
         figure1_gqs, crash_prob=0.2, disconnect_prob=0.3, samples=96, seed=11, jobs=1
     )
     for jobs in (2, 4):
-        for engine in MONTE_CARLO_ENGINES:
+        for runner in ENGINES.values():
             assert (
                 estimate_reliability(
                     figure1_gqs,
@@ -166,37 +169,62 @@ def test_reliability_counters_independent_of_jobs(figure1_gqs):
                     disconnect_prob=0.3,
                     samples=96,
                     seed=11,
-                    jobs=jobs,
-                    engine=engine,
+                    runner=runner(jobs=jobs),
                 )
                 == reference
             )
 
 
 # --------------------------------------------------------------------- #
-# Public sweep JSON: byte-identical across engines and jobs counts
+# Public sweep JSON: byte-identical to the oracle's across jobs counts
 # --------------------------------------------------------------------- #
+def _oracle_sweep(probs, n, patterns, samples, seed, jobs):
+    """The set-based twin of ``api.sweep(kind="all", ...)``."""
+    return api.MonteCarloSweep(
+        admissibility=admissibility_sweep(
+            disconnect_probs=probs, n=n, num_patterns=patterns, samples=samples,
+            seed=seed, runner=oracle.SetEngineRunner(jobs=jobs),
+        ),
+        reliability=reliability_sweep(
+            figure1_quorum_system(), disconnect_probs=probs, samples=samples,
+            seed=seed, runner=oracle.SetEngineRunner(jobs=jobs),
+        ),
+    )
+
+
 def test_sweep_json_bytes_identical_across_engines_and_jobs():
     outputs = set()
-    for engine in MONTE_CARLO_ENGINES:
-        for jobs in (1, 2, 4):
-            outcome = api.sweep(
-                kind="all", probs=(0.0, 0.3), n=4, patterns=2, samples=24,
-                seed=5, jobs=jobs, engine=engine,
-            )
-            outputs.add(outcome.to_json().encode("utf-8"))
+    for jobs in (1, 2, 4):
+        outcome = api.sweep(
+            kind="all", probs=(0.0, 0.3), n=4, patterns=2, samples=24,
+            seed=5, jobs=jobs,
+        )
+        outputs.add(outcome.to_json().encode("utf-8"))
+        outcome = _oracle_sweep(
+            probs=(0.0, 0.3), n=4, patterns=2, samples=24, seed=5, jobs=jobs
+        )
+        outputs.add(outcome.to_json().encode("utf-8"))
     assert len(outputs) == 1
     payload = json.loads(outputs.pop().decode("utf-8"))
     assert set(payload) == {"admissibility", "reliability"}
     assert all(point["samples"] == 24 for point in payload["admissibility"])
 
 
-def test_unknown_engine_is_rejected_everywhere(figure1_gqs):
-    with pytest.raises(ReproError, match="unknown Monte Carlo engine"):
-        resolve_engine("frozenset", None, None)
-    with pytest.raises(ReproError):
-        estimate_reliability(figure1_gqs, samples=4, engine="frozenset")
-    with pytest.raises(ReproError):
-        admissibility_sweep(disconnect_probs=(0.1,), samples=4, engine="frozenset")
-    with pytest.raises(ReproError):
-        asymmetric_admissibility_sweep(n_values=(3,), samples=4, engine="frozenset")
+def test_unknown_engine_is_rejected_everywhere(capsys):
+    """There is one engine: no public entry point takes an ``engine`` keyword."""
+    import repro.montecarlo
+
+    entry_points = [
+        estimate_reliability,
+        reliability_sweep,
+        admissibility_sweep,
+        asymmetric_admissibility_sweep,
+        api.sweep,
+    ]
+    for function in entry_points:
+        assert "engine" not in inspect.signature(function).parameters, function
+    assert not hasattr(repro.montecarlo, "MONTE_CARLO_ENGINES")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--engine=set"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --engine=set" in capsys.readouterr().err

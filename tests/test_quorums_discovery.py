@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles.discovery import gqs_exists_bruteforce
 from repro.errors import NoQuorumSystemExistsError
 from repro.failures import FailProneSystem, FailurePattern
 from repro.quorums import (
@@ -10,7 +11,6 @@ from repro.quorums import (
     discover_gqs,
     find_gqs,
     gqs_exists,
-    gqs_exists_bruteforce,
 )
 
 

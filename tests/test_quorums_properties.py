@@ -4,12 +4,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from oracles.discovery import gqs_exists_bruteforce
 from repro.failures import FailProneSystem, random_failure_pattern
 from repro.quorums import (
     GeneralizedQuorumSystem,
     discover_gqs,
     gqs_exists,
-    gqs_exists_bruteforce,
     is_f_available,
     is_f_reachable,
     strong_system_exists,

@@ -11,7 +11,6 @@ from repro.registry import (
     TOPOLOGIES,
     Descriptor,
     Registry,
-    RegistryView,
 )
 from repro.registry.core import set_current_origin, validate_params
 
@@ -90,9 +89,8 @@ def test_mapping_contract_on_missing_names():
     assert registry.get("nope", "fallback") == "fallback"
     with pytest.raises(ReproError, match="unknown widget kind 'nope'"):
         registry.get("nope")
-    view = RegistryView(registry, lambda d: d.name)
-    assert "nope" not in view
-    assert view.get("nope") is None
+    assert "nope" not in registry.keys()
+    assert dict(registry.items()).get("nope") is None
 
 
 def test_topology_spec_unknown_kind_lists_explicit_candidate():
@@ -133,14 +131,22 @@ def test_validate_params_none_schema_accepts_anything():
 
 
 def test_registry_view_is_live_and_projected():
+    """Callers read the registry itself: it is live, and plugin entries show."""
     registry = Registry("widget", noun="widget kind")
-    view = RegistryView(registry, lambda d: d.params)
+    names = registry.keys()
     registry.register(_descriptor("w", params=("x",)))
-    assert list(view) == ["w"]
-    assert view["w"] == ("x",)
-    assert "w" in view
+    assert list(names) == ["w"]
+    assert registry["w"].params == ("x",)
+    assert "w" in registry
     registry.register(_descriptor("v", params=()))
-    assert list(view) == ["w", "v"]
+    assert list(names) == ["w", "v"]
+    previous = set_current_origin("some_plugin")
+    try:
+        registry.register(_descriptor("p"))
+    finally:
+        set_current_origin(previous)
+    assert list(names) == ["w", "v", "p"]
+    assert registry["p"].origin == "some_plugin"
 
 
 def test_origin_attribution_during_plugin_import():
@@ -207,15 +213,28 @@ def test_scenario_registry_backs_the_catalogue():
 
 
 def test_legacy_views_stay_consistent_with_registries():
-    from repro.experiments import PROTOCOL_KINDS, PROTOCOL_PARAM_KEYS, WORKLOAD_DEFAULTS
-    from repro.failures import TOPOLOGY_KINDS
-    from repro.sim import DELAY_MODEL_KINDS
-    from repro.traces.check import CHECKER_KINDS
+    """The registries carry what the removed module-level tables projected."""
+    import repro.experiments
+    import repro.failures
+    import repro.nemesis
+    import repro.registry
+    import repro.sim
+    import repro.traces
 
-    assert list(PROTOCOL_KINDS) == PROTOCOLS.names()
-    assert PROTOCOL_PARAM_KEYS["register"] == ("classical", "push_interval", "relay")
-    assert WORKLOAD_DEFAULTS["paxos"]["max_time"] == 1_500.0
-    assert list(TOPOLOGY_KINDS) == TOPOLOGIES.names()
-    assert callable(TOPOLOGY_KINDS["ring"])
-    assert DELAY_MODEL_KINDS["uniform"] == ("min_delay", "max_delay")
-    assert list(CHECKER_KINDS) == CHECKERS.names()
+    assert PROTOCOLS.names() == ["register", "snapshot", "lattice", "consensus", "paxos"]
+    assert PROTOCOLS["register"].params == ("classical", "push_interval", "relay")
+    assert PROTOCOLS["paxos"].extras["defaults"]["max_time"] == 1_500.0
+    assert callable(TOPOLOGIES["ring"].builder)
+    assert DELAY_MODELS["uniform"].params == ("min_delay", "max_delay")
+    assert CHECKERS.names() == ["auto", "wing-gong", "dep-graph", "streaming"]
+    removed = {
+        repro.experiments: ("PROTOCOL_KINDS", "PROTOCOL_PARAM_KEYS", "WORKLOAD_DEFAULTS"),
+        repro.failures: ("TOPOLOGY_KINDS",),
+        repro.sim: ("DELAY_MODEL_KINDS",),
+        repro.traces: ("CHECKER_KINDS",),
+        repro.nemesis: ("NEMESIS_STRATEGIES",),
+        repro.registry: ("RegistryView",),
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
